@@ -21,12 +21,6 @@
 namespace surf {
 namespace accel_detail {
 
-/// Early-exit scalar walk of rows [begin, end) — the reference tail for
-/// the interleaved predictors, and the whole path when levels == 0.
-void TreePredictRows(const AccelTreeNode* nodes, const double* values,
-                     const double* const* cols, size_t begin, size_t end,
-                     double scale, double* out);
-
 /// Scalar membership-mask update over [r0, n).
 void MaskRangeTail(const double* col, size_t r0, size_t n, double lo,
                    double hi, uint8_t* mask);

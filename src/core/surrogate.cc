@@ -130,27 +130,10 @@ double Surrogate::Predict(const Region& region) const {
   return model_->Predict(RegionFeatures(region));
 }
 
-namespace {
-
-/// Shared batched-evaluation kernel: one feature-matrix fill, one
-/// blocked PredictBatch.
-std::vector<double> PredictRegions(const Regressor& model,
-                                   const std::vector<Region>& regions) {
-  if (regions.empty()) return {};
-  FeatureMatrix features(2 * regions[0].dims());
-  features.Reserve(regions.size());
-  for (const Region& region : regions) {
-    features.AddRow(RegionFeatures(region));
-  }
-  return model.PredictBatch(features);
-}
-
-}  // namespace
-
 std::vector<double> Surrogate::EvaluateMany(
     const std::vector<Region>& regions) const {
   assert(trained());
-  return PredictRegions(*model_, regions);
+  return EvaluateStatistics(regions, nullptr, AsBatchStatisticFn());
 }
 
 Status Surrogate::Update(const RegionWorkload& fresh_workload,
@@ -228,8 +211,10 @@ StatisticFn Surrogate::AsStatisticFn() const {
 BatchStatisticFn Surrogate::AsBatchStatisticFn() const {
   assert(trained());
   auto model = model_;
-  return [model](const std::vector<Region>& regions) {
-    return PredictRegions(*model, regions);
+  // The view's columns are already the model's feature columns: the trees
+  // walk them in place and write straight into the caller's buffer.
+  return [model](const RegionColumns& regions, double* out) {
+    model->PredictColumns(regions.cols, 2 * regions.dims, regions.rows, out);
   };
 }
 

@@ -82,9 +82,9 @@ class Surrogate {
   /// ŷ = f̂(x, l).
   double Predict(const Region& region) const;
 
-  /// Batched ŷ for a whole population of regions: one feature-matrix fill
-  /// plus one blocked PredictBatch instead of per-region feature vectors
-  /// and tree walks. Element i corresponds to regions[i].
+  /// Batched ŷ for a whole population of regions: packs them into one
+  /// column view and runs the AsBatchStatisticFn walk (no per-region
+  /// feature vectors). Element i corresponds to regions[i].
   std::vector<double> EvaluateMany(const std::vector<Region>& regions) const;
 
   /// Folds freshly observed region evaluations into the deployed model by
@@ -108,7 +108,8 @@ class Surrogate {
   /// Adapter feeding the optimization objective.
   StatisticFn AsStatisticFn() const;
 
-  /// Batched adapter: lets optimizers score an entire swarm per call.
+  /// Batched adapter: lets optimizers score an entire swarm per call,
+  /// walking the trees over the caller's column view into its buffer.
   BatchStatisticFn AsBatchStatisticFn() const;
 
   /// Quality/cost record of the training run.

@@ -1,30 +1,8 @@
 #include "core/topk.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace surf {
-
-namespace {
-
-/// Threshold-free fitness on an already-computed statistic: maximize the
-/// statistic itself, size-penalized exactly like Eq. 4 (log form keeps
-/// the scale-free regularization).
-FitnessValue TopKFitness(const Region& region, double y, double c) {
-  FitnessValue out;
-  if (std::isnan(y) || !std::isfinite(y) || y <= 0.0) return out;
-  double size_penalty = 0.0;
-  for (size_t i = 0; i < region.dims(); ++i) {
-    const double l = region.half_length(i);
-    if (l <= 0.0) return out;
-    size_penalty += std::log(l);
-  }
-  out.value = std::log(y) - c * size_penalty;
-  out.valid = true;
-  return out;
-}
-
-}  // namespace
 
 TopKFinder::TopKFinder(StatisticFn estimate, RegionSolutionSpace space,
                        TopKConfig config)
@@ -36,64 +14,35 @@ TopKFinder::TopKFinder(StatisticFn estimate, RegionSolutionSpace space,
 }
 
 TopKResult TopKFinder::Find() const {
-  const double c = config_.c;
+  // The threshold-free fitness J = log(ŷ) − c·Σ log l_i is the Eq. 4 log
+  // objective at y_R = 0 (diff = ŷ − 0 = ŷ, undefined where ŷ ≤ 0), so
+  // the threshold objective's batched path scores the swarm.
+  ObjectiveConfig obj_config;
+  obj_config.threshold = 0.0;
+  obj_config.direction = ThresholdDirection::kAbove;
+  obj_config.c = config_.c;
+  obj_config.use_log = true;
+  const RegionObjective objective(estimate_, batch_estimate_, obj_config);
   const GlowwormSwarmOptimizer gso(config_.gso);
 
   GsoResult swarm;
   {
     TraceSpan search_span(trace_, "search", TraceStage::kSearch);
-    if (batch_estimate_ != nullptr) {
-      // One batched model call scores the whole swarm per iteration.
-      const BatchStatisticFn batch_estimate = batch_estimate_;
-      const BatchFitnessFn fitness =
-          [&batch_estimate, c](const std::vector<Region>& regions) {
-            std::vector<FitnessValue> out(regions.size());
-            if (regions.empty()) return out;
-            // Degenerate regions never reach the model (mirrors the
-            // scalar path's short-circuit).
-            std::vector<Region> live;
-            std::vector<size_t> live_idx;
-            live.reserve(regions.size());
-            for (size_t i = 0; i < regions.size(); ++i) {
-              if (regions[i].Degenerate()) continue;
-              live.push_back(regions[i]);
-              live_idx.push_back(i);
-            }
-            const std::vector<double> ys = batch_estimate(live);
-            for (size_t k = 0; k < live.size(); ++k) {
-              out[live_idx[k]] = TopKFitness(live[k], ys[k], c);
-            }
-            return out;
-          };
-      swarm = gso.Optimize(fitness, space_, kde_, cancel_, progress_, trace_);
-    } else {
-      const StatisticFn estimate = estimate_;
-      const FitnessFn fitness = [&estimate, c](const Region& region) {
-        if (region.Degenerate()) return FitnessValue{};
-        return TopKFitness(region, estimate(region), c);
-      };
-      swarm = gso.Optimize(fitness, space_, kde_, cancel_, progress_, trace_);
-    }
+    swarm = gso.Optimize(objective.AsBatchFitnessFn(), space_, kde_, cancel_,
+                         progress_, trace_);
     search_span.Attr("iterations",
                      static_cast<uint64_t>(swarm.iterations_run));
   }
   TraceSpan extraction_span(trace_, "extraction", TraceStage::kExtraction);
 
-  // Score the surviving valid particles with one batched call.
-  std::vector<Region> valid_regions;
-  for (size_t i = 0; i < swarm.particles.size(); ++i) {
-    if (swarm.valid[i]) valid_regions.push_back(swarm.particles[i]);
-  }
-  const std::vector<double> estimates =
-      EvaluateStatistics(valid_regions, estimate_, batch_estimate_);
-
+  // Valid particles carry the statistic their final fitness came from.
   std::vector<ScoredRegion> candidates;
-  for (size_t i = 0, v = 0; i < swarm.particles.size(); ++i) {
+  for (size_t i = 0; i < swarm.particles.size(); ++i) {
     if (!swarm.valid[i]) continue;
     ScoredRegion cand;
     cand.region = swarm.particles[i];
     cand.fitness = swarm.fitness[i];
-    cand.statistic = estimates[v++];
+    cand.statistic = swarm.statistic[i];
     candidates.push_back(std::move(cand));
   }
 

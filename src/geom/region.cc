@@ -139,4 +139,46 @@ bool Region::operator==(const Region& other) const {
   return center_ == other.center_ && half_lengths_ == other.half_lengths_;
 }
 
+bool RegionColumns::Degenerate(size_t r) const {
+  for (size_t k = 0; k < dims; ++k) {
+    const double l = half_length(r, k);
+    if (l < 0.0 || !std::isfinite(l)) return true;
+  }
+  for (size_t k = 0; k < dims; ++k) {
+    if (!std::isfinite(center(r, k))) return true;
+  }
+  return false;
+}
+
+void RegionColumns::CopyRow(size_t r, Region* out) const {
+  if (out->dims() != dims) {
+    *out = Region(std::vector<double>(dims), std::vector<double>(dims));
+  }
+  for (size_t k = 0; k < dims; ++k) {
+    out->set_center(k, center(r, k));
+    out->set_half_length(k, half_length(r, k));
+  }
+}
+
+RegionColumnStore::RegionColumnStore(size_t dims, size_t capacity)
+    : dims_(dims),
+      capacity_(capacity),
+      data_(2 * dims * capacity),
+      ptrs_(2 * dims) {
+  for (size_t k = 0; k < ptrs_.size(); ++k) ptrs_[k] = col(k);
+}
+
+RegionColumnStore RegionColumnStore::Pack(const std::vector<Region>& regions) {
+  RegionColumnStore store(regions.empty() ? 0 : regions[0].dims(),
+                          regions.size());
+  for (size_t r = 0; r < regions.size(); ++r) {
+    assert(regions[r].dims() == store.dims_);
+    for (size_t k = 0; k < store.dims_; ++k) {
+      store.col(k)[r] = regions[r].center(k);
+      store.col(store.dims_ + k)[r] = regions[r].half_length(k);
+    }
+  }
+  return store;
+}
+
 }  // namespace surf

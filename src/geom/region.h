@@ -88,6 +88,55 @@ class Region {
   std::vector<double> half_lengths_;
 };
 
+/// \brief Non-owning column-major view of a batch of regions in the flat
+/// [x, l] encoding: `cols[k][r]` is coordinate k of row r — centres for
+/// k < dims, half-lengths for dims <= k < 2·dims. This is the
+/// RegionFeatures order, so the view doubles as the feature columns a
+/// tree walk reads without gathering rows.
+struct RegionColumns {
+  const double* const* cols = nullptr;
+  size_t dims = 0;
+  size_t rows = 0;
+
+  double center(size_t r, size_t k) const { return cols[k][r]; }
+  double half_length(size_t r, size_t k) const { return cols[dims + k][r]; }
+
+  /// Region::Degenerate on row r.
+  bool Degenerate(size_t r) const;
+
+  /// Copies row r into `out`, reusing its storage once it has `dims`.
+  void CopyRow(size_t r, Region* out) const;
+};
+
+/// \brief Owning column store behind a RegionColumns view: 2·dims columns
+/// of `capacity` doubles in one allocation, plus the column pointers.
+/// Move-only (the pointers address the store's own buffer).
+class RegionColumnStore {
+ public:
+  RegionColumnStore() = default;
+  RegionColumnStore(size_t dims, size_t capacity);
+  RegionColumnStore(RegionColumnStore&&) = default;
+  RegionColumnStore& operator=(RegionColumnStore&&) = default;
+  RegionColumnStore(const RegionColumnStore&) = delete;
+  RegionColumnStore& operator=(const RegionColumnStore&) = delete;
+
+  /// Packs `regions` (all of one dimensionality) into a new store.
+  static RegionColumnStore Pack(const std::vector<Region>& regions);
+
+  size_t dims() const { return dims_; }
+  double* col(size_t k) { return data_.data() + k * capacity_; }
+  const double* col(size_t k) const { return data_.data() + k * capacity_; }
+
+  /// The first `rows` rows as a view (rows <= the store's capacity).
+  RegionColumns View(size_t rows) const { return {ptrs_.data(), dims_, rows}; }
+
+ private:
+  size_t dims_ = 0;
+  size_t capacity_ = 0;
+  std::vector<double> data_;
+  std::vector<const double*> ptrs_;
+};
+
 }  // namespace surf
 
 #endif  // SURF_GEOM_REGION_H_

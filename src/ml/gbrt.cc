@@ -299,18 +299,28 @@ double GradientBoostedTrees::Predict(const std::vector<double>& x) const {
 std::vector<double> GradientBoostedTrees::PredictBatch(
     const FeatureMatrix& x) const {
   assert(trained_);
-  const size_t n = x.num_rows();
-  std::vector<double> out(n, base_score_);
-  if (trees_.empty() || n == 0) return out;
+  std::vector<double> out(x.num_rows());
+  PredictColumns(x.ColPointers().data(), x.num_features(), x.num_rows(),
+                 out.data());
+  return out;
+}
 
-  const std::vector<const double*> cols = x.ColPointers();
+void GradientBoostedTrees::PredictColumns(const double* const* cols,
+                                          size_t num_features, size_t n,
+                                          double* out) const {
+  assert(trained_);
+  assert(num_features == num_features_);
+  (void)num_features;
+  std::fill(out, out + n, base_score_);
+  if (trees_.empty() || n == 0) return;
+
   const double lr = params_.learning_rate;
   // All trees over one block of rows before moving on: each tree's nodes
   // are touched `block` times in a row instead of once per scattered
   // visit, and each row is read in place from its column (no gather).
   auto run_range = [&](size_t b0, size_t b1) {
     for (const auto& tree : trees_) {
-      tree.AddPredictions(cols.data(), b0, b1, lr, out.data() + b0);
+      tree.AddPredictions(cols, b0, b1, lr, out + b0);
     }
   };
 
@@ -330,7 +340,6 @@ std::vector<double> GradientBoostedTrees::PredictBatch(
       run_range(b0, std::min(n, b0 + kPredictBlockRows));
     }
   }
-  return out;
 }
 
 Status GradientBoostedTrees::Save(const std::string& path) const {

@@ -90,6 +90,12 @@ class GradientBoostedTrees : public Regressor {
   /// scalar path for any thread count.
   std::vector<double> PredictBatch(const FeatureMatrix& x) const override;
 
+  /// The same blocked walk over caller-owned column pointers, straight
+  /// into `out` (no matrix, no result vector). Bit-identical per row to
+  /// Predict for any batch size, row subset or order.
+  void PredictColumns(const double* const* cols, size_t num_features,
+                      size_t rows, double* out) const override;
+
   bool trained() const override { return trained_; }
   std::string Name() const override { return "gbrt"; }
 

@@ -34,6 +34,18 @@ class Regressor {
     return out;
   }
 
+  /// Batch prediction over column pointers (`cols[j][r]` is feature j of
+  /// row r, j < num_features) into the caller's out[0, rows). Default
+  /// gathers each row and loops Predict().
+  virtual void PredictColumns(const double* const* cols, size_t num_features,
+                              size_t rows, double* out) const {
+    std::vector<double> x(num_features);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t j = 0; j < num_features; ++j) x[j] = cols[j][r];
+      out[r] = Predict(x);
+    }
+  }
+
   /// True once Fit succeeded.
   virtual bool trained() const = 0;
 

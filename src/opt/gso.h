@@ -86,6 +86,9 @@ struct GsoResult {
   std::vector<Region> particles;
   std::vector<double> fitness;
   std::vector<bool> valid;
+  /// Raw statistic behind each particle's final fitness
+  /// (FitnessValue::statistic; NaN where none was probed).
+  std::vector<double> statistic;
   /// Luciferin levels at termination.
   std::vector<double> luciferin;
   size_t iterations_run = 0;
@@ -94,7 +97,10 @@ struct GsoResult {
   /// True when a CancelToken stopped the swarm early. The partial swarm
   /// (positions, fitness, validity) is still fully populated and usable.
   bool cancelled = false;
-  /// Total objective evaluations (T · L per the paper's cost model).
+  /// Objective evaluations in the paper's cost model: T · L plus the
+  /// final refresh's L. Only particles that moved are actually re-scored
+  /// (fitness is a pure function of the region), so the rows sent to the
+  /// fitness source are usually fewer.
   uint64_t objective_evaluations = 0;
   GsoHistory history;
 
@@ -125,16 +131,21 @@ class GlowwormSwarmOptimizer {
   /// `cancelled` while keeping the partial swarm reportable. `progress`,
   /// when non-null, is updated every iteration for concurrent observers.
   /// A non-null `trace` records one "gso_iterations" span per block of
-  /// iterations; tracing never changes the swarm trajectory.
+  /// iterations, annotated with the block's per-phase seconds
+  /// (`predict_s`, `neighbours_s`, `move_s`) and `rows_scored`; tracing
+  /// never changes the swarm trajectory.
   GsoResult Optimize(const FitnessFn& fitness,
                      const RegionSolutionSpace& space,
                      const Kde* kde = nullptr, CancelToken cancel = {},
                      SearchProgress* progress = nullptr,
                      TraceContext* trace = nullptr) const;
 
-  /// Batched variant: the whole swarm is scored with one `fitness` call
-  /// per iteration (one surrogate PredictBatch instead of L tree walks).
-  /// Identical trajectory to the scalar overload for the same seed.
+  /// Batched variant: each iteration scores the particles that moved with
+  /// one `fitness` call over a column view of their positions (one
+  /// surrogate tree walk instead of one per particle). Identical
+  /// trajectory to the scalar overload for the same seed. The swarm lives
+  /// in flat columns allocated once per call; iterations allocate nothing
+  /// unless `fitness` or `trace` does.
   GsoResult Optimize(const BatchFitnessFn& fitness,
                      const RegionSolutionSpace& space,
                      const Kde* kde = nullptr, CancelToken cancel = {},

@@ -47,30 +47,28 @@ NaiveSearchResult NaiveSearch::Run(const RegionObjective& objective,
 
   Stopwatch timer;
   std::vector<size_t> odo(d, 0);  // per-dim combined (center, size) index
-  std::vector<double> center(d), half(d);
 
-  // Candidates are scored in chunks through the objective's batched path:
-  // one surrogate PredictBatch per chunk instead of one tree-walk per
-  // grid cell. Budgets are re-checked between chunks.
+  // Candidates are decoded straight into column chunks and scored through
+  // the objective's batched path: one surrogate tree walk per chunk
+  // instead of one per grid cell. Budgets are re-checked between chunks.
   constexpr size_t kChunk = 256;
-  std::vector<Region> chunk;
-  std::vector<double> chunk_stats;
-  chunk.reserve(kChunk);
+  RegionColumnStore chunk(d, kChunk);
+  std::vector<FitnessValue> evals(kChunk);
   bool exhausted = false;
   while (!exhausted) {
-    chunk.clear();
+    size_t rows = 0;
     size_t limit = kChunk;
     if (params_.max_evaluations > 0) {
       const uint64_t remaining = params_.max_evaluations - result.examined;
       limit = std::min<uint64_t>(limit, remaining);
     }
-    while (chunk.size() < limit) {
+    while (rows < limit) {
       // Decode the odometer into a region.
       for (size_t i = 0; i < d; ++i) {
-        center[i] = centers[i][odo[i] / m];
-        half[i] = lengths[i][odo[i] % m];
+        chunk.col(i)[rows] = centers[i][odo[i] / m];
+        chunk.col(d + i)[rows] = lengths[i][odo[i] % m];
       }
-      chunk.emplace_back(center, half);
+      ++rows;
 
       // Advance the odometer.
       size_t i = d;
@@ -89,17 +87,17 @@ NaiveSearchResult NaiveSearch::Run(const RegionObjective& objective,
         break;
       }
     }
-    if (chunk.empty()) break;
+    if (rows == 0) break;
 
-    const std::vector<FitnessValue> evals =
-        objective.EvaluateMany(chunk, &chunk_stats);
-    result.examined += chunk.size();
-    for (size_t i = 0; i < chunk.size(); ++i) {
+    const RegionColumns view = chunk.View(rows);
+    objective.EvaluateMany(view, evals.data());
+    result.examined += rows;
+    for (size_t i = 0; i < rows; ++i) {
       if (!evals[i].valid) continue;
       ScoredRegion scored;
-      scored.region = chunk[i];
+      view.CopyRow(i, &scored.region);
       scored.fitness = evals[i].value;
-      scored.statistic = chunk_stats[i];
+      scored.statistic = evals[i].statistic;
       result.viable.push_back(std::move(scored));
     }
 

@@ -28,9 +28,24 @@ RegionObjective::RegionObjective(StatisticFn statistic,
   assert(statistic_ != nullptr);
 }
 
-FitnessValue RegionObjective::FromStatistic(const Region& region,
+namespace {
+
+/// Per-thread statistic buffer for the batched path: grows to the largest
+/// batch the thread has scored and is then reused, so a swarm iteration
+/// allocates nothing.
+double* StatisticScratch(size_t rows) {
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < rows) scratch.resize(rows);
+  return scratch.data();
+}
+
+}  // namespace
+
+template <typename HalfLength>
+FitnessValue RegionObjective::FromStatistic(size_t dims, HalfLength half,
                                             double y) const {
   FitnessValue out;
+  out.statistic = y;
   if (std::isnan(y) || !std::isfinite(y)) return out;
 
   const double diff = config_.direction == ThresholdDirection::kBelow
@@ -41,8 +56,8 @@ FitnessValue RegionObjective::FromStatistic(const Region& region,
     // Eq. 4: undefined (invalid) outside the constraint.
     if (diff <= 0.0) return out;
     double size_penalty = 0.0;
-    for (size_t i = 0; i < region.dims(); ++i) {
-      const double l = region.half_length(i);
+    for (size_t i = 0; i < dims; ++i) {
+      const double l = half(i);
       if (l <= 0.0) return out;
       size_penalty += std::log(l);
     }
@@ -54,8 +69,8 @@ FitnessValue RegionObjective::FromStatistic(const Region& region,
   // Eq. 2: defined everywhere (Fig. 7 bottom row shows the negative
   // plateau), but still undefined for degenerate sizes.
   double volume_pow = 1.0;
-  for (size_t i = 0; i < region.dims(); ++i) {
-    const double l = region.half_length(i);
+  for (size_t i = 0; i < dims; ++i) {
+    const double l = half(i);
     if (l <= 0.0) return out;
     volume_pow *= std::pow(l, config_.c);
   }
@@ -66,64 +81,65 @@ FitnessValue RegionObjective::FromStatistic(const Region& region,
 
 FitnessValue RegionObjective::Evaluate(const Region& region) const {
   if (region.Degenerate()) return FitnessValue{};
-  return FromStatistic(region, statistic_(region));
+  return FromStatistic(
+      region.dims(), [&](size_t k) { return region.half_length(k); },
+      statistic_(region));
+}
+
+void RegionObjective::EvaluateMany(const RegionColumns& regions,
+                                   FitnessValue* out) const {
+  auto score = [&](size_t r, double y) {
+    return FromStatistic(
+        regions.dims, [&](size_t k) { return regions.half_length(r, k); }, y);
+  };
+  // Degenerate rows never probe the statistic (same short-circuit as
+  // Evaluate).
+  bool any_degenerate = false;
+  for (size_t r = 0; r < regions.rows; ++r) {
+    if (regions.Degenerate(r)) {
+      out[r] = FitnessValue{};
+      any_degenerate = true;
+    }
+  }
+  if (batch_statistic_ == nullptr) {
+    Region region;
+    for (size_t r = 0; r < regions.rows; ++r) {
+      if (any_degenerate && regions.Degenerate(r)) continue;
+      regions.CopyRow(r, &region);
+      out[r] = score(r, statistic_(region));
+    }
+    return;
+  }
+  if (!any_degenerate) {
+    // The common case: the view goes to the statistic as is.
+    double* stats = StatisticScratch(regions.rows);
+    batch_statistic_(regions, stats);
+    for (size_t r = 0; r < regions.rows; ++r) out[r] = score(r, stats[r]);
+    return;
+  }
+  std::vector<size_t> live;
+  for (size_t r = 0; r < regions.rows; ++r) {
+    if (!regions.Degenerate(r)) live.push_back(r);
+  }
+  RegionColumnStore packed(regions.dims, live.size());
+  for (size_t k = 0; k < 2 * regions.dims; ++k) {
+    for (size_t q = 0; q < live.size(); ++q) {
+      packed.col(k)[q] = regions.cols[k][live[q]];
+    }
+  }
+  double* stats = StatisticScratch(live.size());
+  batch_statistic_(packed.View(live.size()), stats);
+  for (size_t q = 0; q < live.size(); ++q) {
+    out[live[q]] = score(live[q], stats[q]);
+  }
 }
 
 std::vector<FitnessValue> RegionObjective::EvaluateMany(
-    const std::vector<Region>& regions,
-    std::vector<double>* stats_out) const {
+    const std::vector<Region>& regions) const {
   std::vector<FitnessValue> out(regions.size());
-  if (stats_out != nullptr) {
-    stats_out->assign(regions.size(),
-                      std::numeric_limits<double>::quiet_NaN());
-  }
   if (regions.empty()) return out;
-  if (batch_statistic_ == nullptr) {
-    for (size_t i = 0; i < regions.size(); ++i) {
-      // Same short-circuit as Evaluate: degenerate regions never probe
-      // the statistic.
-      if (regions[i].Degenerate()) continue;
-      const double y = statistic_(regions[i]);
-      if (stats_out != nullptr) (*stats_out)[i] = y;
-      out[i] = FromStatistic(regions[i], y);
-    }
-    return out;
-  }
-  // Degenerate regions never reach the statistic source (same
-  // short-circuit as Evaluate); the common all-valid case goes through
-  // without any gather/scatter.
-  bool any_degenerate = false;
-  for (const Region& region : regions) {
-    if (region.Degenerate()) {
-      any_degenerate = true;
-      break;
-    }
-  }
-  if (!any_degenerate) {
-    const std::vector<double> stats = batch_statistic_(regions);
-    assert(stats.size() == regions.size());
-    for (size_t i = 0; i < regions.size(); ++i) {
-      if (stats_out != nullptr) (*stats_out)[i] = stats[i];
-      out[i] = FromStatistic(regions[i], stats[i]);
-    }
-    return out;
-  }
-  std::vector<Region> live;
-  std::vector<size_t> live_idx;
-  live.reserve(regions.size());
-  live_idx.reserve(regions.size());
-  for (size_t i = 0; i < regions.size(); ++i) {
-    if (regions[i].Degenerate()) continue;
-    live.push_back(regions[i]);
-    live_idx.push_back(i);
-  }
-  const std::vector<double> stats = batch_statistic_(live);
-  assert(stats.size() == live.size());
-  for (size_t k = 0; k < live.size(); ++k) {
-    const size_t i = live_idx[k];
-    if (stats_out != nullptr) (*stats_out)[i] = stats[k];
-    out[i] = FromStatistic(regions[i], stats[k]);
-  }
+  const RegionColumnStore packed = RegionColumnStore::Pack(regions);
+  EvaluateMany(packed.View(regions.size()), out.data());
   return out;
 }
 
@@ -132,27 +148,34 @@ FitnessFn RegionObjective::AsFitnessFn() const {
 }
 
 BatchFitnessFn RegionObjective::AsBatchFitnessFn() const {
-  return [this](const std::vector<Region>& regions) {
-    return EvaluateMany(regions);
+  return [this](const RegionColumns& regions, FitnessValue* out) {
+    EvaluateMany(regions, out);
   };
 }
 
 BatchFitnessFn ToBatchFitness(FitnessFn fitness) {
   assert(fitness != nullptr);
-  return [fitness = std::move(fitness)](const std::vector<Region>& regions) {
-    std::vector<FitnessValue> out(regions.size());
-    for (size_t i = 0; i < regions.size(); ++i) out[i] = fitness(regions[i]);
-    return out;
+  return [fitness = std::move(fitness)](const RegionColumns& regions,
+                                        FitnessValue* out) {
+    Region region;
+    for (size_t r = 0; r < regions.rows; ++r) {
+      regions.CopyRow(r, &region);
+      out[r] = fitness(region);
+    }
   };
 }
 
 std::vector<double> EvaluateStatistics(const std::vector<Region>& regions,
                                        const StatisticFn& scalar,
                                        const BatchStatisticFn& batch) {
-  if (batch != nullptr) return batch(regions);
-  std::vector<double> out;
-  out.reserve(regions.size());
-  for (const Region& region : regions) out.push_back(scalar(region));
+  std::vector<double> out(regions.size());
+  if (regions.empty()) return out;
+  if (batch != nullptr) {
+    const RegionColumnStore packed = RegionColumnStore::Pack(regions);
+    batch(packed.View(regions.size()), out.data());
+    return out;
+  }
+  for (size_t r = 0; r < regions.size(); ++r) out[r] = scalar(regions[r]);
   return out;
 }
 

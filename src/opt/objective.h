@@ -2,6 +2,8 @@
 #define SURF_OPT_OBJECTIVE_H_
 
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "geom/region.h"
 
@@ -34,27 +36,34 @@ struct ObjectiveConfig {
 /// `valid == false` encodes the paper's "logarithm undefined" semantics —
 /// the region violates the threshold constraint (or f itself is undefined
 /// because the region is empty). Optimizers must not treat the value as
-/// meaningful in that case.
+/// meaningful in that case. `statistic` carries the raw f(x, l) the value
+/// was computed from (NaN when no statistic was probed), so extraction
+/// never has to predict a region a second time.
 struct FitnessValue {
   double value = 0.0;
   bool valid = false;
+  double statistic = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Statistic provider: region -> y (possibly NaN where f is undefined).
 using StatisticFn = std::function<double(const Region&)>;
 
-/// Batched statistic provider: scores many regions in one call (one
-/// surrogate PredictBatch instead of one tree-walk per region).
+/// Batched statistic provider: writes f(row r) to out[r] for every row of
+/// the column view (one surrogate tree walk over the batch instead of one
+/// per region). `out` is caller-owned and holds at least regions.rows
+/// doubles. Must be a pure function of each row.
 using BatchStatisticFn =
-    std::function<std::vector<double>(const std::vector<Region>&)>;
+    std::function<void(const RegionColumns& regions, double* out)>;
 
 /// Generic fitness: region -> FitnessValue (used directly by optimizers).
 using FitnessFn = std::function<FitnessValue(const Region&)>;
 
-/// Batched fitness: scores a whole population (e.g. a particle swarm) in
-/// one call. Element i corresponds to regions[i].
+/// Batched fitness: scores a whole population (e.g. the moved particles
+/// of a swarm) in one call, writing row r's fitness to out[r]. `out` is
+/// caller-owned. Optimizers rely on it being a pure function of each row:
+/// a particle that did not move is not scored again.
 using BatchFitnessFn =
-    std::function<std::vector<FitnessValue>(const std::vector<Region>&)>;
+    std::function<void(const RegionColumns& regions, FitnessValue* out)>;
 
 /// \brief The SuRF objective over a statistic function (true f or a
 /// surrogate f̂).
@@ -77,15 +86,18 @@ class RegionObjective {
   /// where f is NaN, or where any side length is non-positive.
   FitnessValue Evaluate(const Region& region) const;
 
-  /// Batched Evaluate: one statistic call for the whole population, then
-  /// the (cheap) objective math per region. Falls back to per-region
-  /// statistics when no batch source was supplied. Result i matches
-  /// Evaluate(regions[i]) exactly. When `stats_out` is non-null it
-  /// receives the raw statistic per region (NaN where it was never
-  /// computed), sparing callers a second statistic pass.
+  /// Batched Evaluate over a column view: one statistic call for the
+  /// whole batch, then the (cheap) objective math per row, into the
+  /// caller's `out[0, regions.rows)`. Falls back to per-row statistics
+  /// when no batch source was supplied. out[r] matches Evaluate(row r)
+  /// exactly. Allocation-free on the batched path once the calling
+  /// thread has seen a batch of this size.
+  void EvaluateMany(const RegionColumns& regions, FitnessValue* out) const;
+
+  /// Convenience form over a region list: packs it into a column view and
+  /// runs the batched path above.
   std::vector<FitnessValue> EvaluateMany(
-      const std::vector<Region>& regions,
-      std::vector<double>* stats_out = nullptr) const;
+      const std::vector<Region>& regions) const;
 
   /// Exposes the raw statistic (for validation/report paths).
   double Statistic(const Region& region) const { return statistic_(region); }
@@ -97,8 +109,10 @@ class RegionObjective {
   BatchFitnessFn AsBatchFitnessFn() const;
 
  private:
-  /// Objective math on an already-computed statistic value.
-  FitnessValue FromStatistic(const Region& region, double y) const;
+  /// Objective math on an already-computed statistic value; `half(k)`
+  /// returns the region's k-th half-length.
+  template <typename HalfLength>
+  FitnessValue FromStatistic(size_t dims, HalfLength half, double y) const;
 
   StatisticFn statistic_;
   BatchStatisticFn batch_statistic_;  // may be null
@@ -113,8 +127,9 @@ bool SatisfiesThreshold(double y, double threshold,
 /// function object is copied, so the adapter owns its callee).
 BatchFitnessFn ToBatchFitness(FitnessFn fitness);
 
-/// Scores every region through `batch` when non-null, else by looping
-/// `scalar` — the shared fallback for report/extraction paths.
+/// Scores every region through `batch` (packed into one column view) when
+/// non-null, else by looping `scalar` — the shared fallback for
+/// report/extraction paths.
 std::vector<double> EvaluateStatistics(const std::vector<Region>& regions,
                                        const StatisticFn& scalar,
                                        const BatchStatisticFn& batch);

@@ -37,22 +37,26 @@ PsoResult ParticleSwarmOptimizer::Optimize(const BatchFitnessFn& fitness,
     pbest[i] = pos[i];
   }
 
-  std::vector<Region> regions;
-  regions.reserve(L);
+  const size_t d = space.dims();
+  RegionColumnStore swarm(d, L);
+  std::vector<FitnessValue> evals(L);
   for (size_t t = 0; t < params_.max_iterations; ++t) {
     if (cancel.cancelled()) {
       result.cancelled = true;
       break;
     }
-    // Clamp every particle, then score the whole swarm in one call.
-    regions.clear();
+    // Clamp every particle into the space, then score the whole swarm in
+    // one call over its columns.
     for (size_t i = 0; i < L; ++i) {
-      Region region = Region::FromFlat(pos[i]);
-      space.Clamp(&region);
-      pos[i] = region.ToFlat();
-      regions.push_back(std::move(region));
+      for (size_t k = 0; k < d; ++k) {
+        pos[i][k] = std::clamp(pos[i][k], space.bounds.lo(k),
+                               space.bounds.hi(k));
+        pos[i][d + k] = std::clamp(pos[i][d + k], space.min_half_length,
+                                   space.max_half_length);
+      }
+      for (size_t k = 0; k < flat_d; ++k) swarm.col(k)[i] = pos[i][k];
     }
-    const std::vector<FitnessValue> evals = fitness(regions);
+    fitness(swarm.View(L), evals.data());
     result.objective_evaluations += L;
     for (size_t i = 0; i < L; ++i) {
       const FitnessValue& fv = evals[i];

@@ -18,13 +18,17 @@ RegionSolutionSpace RegionSolutionSpace::ForBounds(const Bounds& bounds,
 }
 
 Region RegionSolutionSpace::Sample(Rng* rng) const {
+  std::vector<double> flat(flat_dims());
+  SampleFlat(rng, flat.data());
+  return Region::FromFlat(flat);
+}
+
+void RegionSolutionSpace::SampleFlat(Rng* rng, double* flat) const {
   const size_t d = dims();
-  std::vector<double> center(d), half(d);
   for (size_t i = 0; i < d; ++i) {
-    center[i] = rng->Uniform(bounds.lo(i), bounds.hi(i));
-    half[i] = rng->Uniform(min_half_length, max_half_length);
+    flat[i] = rng->Uniform(bounds.lo(i), bounds.hi(i));
+    flat[d + i] = rng->Uniform(min_half_length, max_half_length);
   }
-  return Region(std::move(center), std::move(half));
 }
 
 void RegionSolutionSpace::Clamp(Region* region) const {

@@ -35,6 +35,10 @@ struct RegionSolutionSpace {
   /// uniform in the admissible range).
   Region Sample(Rng* rng) const;
 
+  /// Sample's draws, in the same order, written into `flat[0, 2d)` in
+  /// the [x, l] encoding (no allocation).
+  void SampleFlat(Rng* rng, double* flat) const;
+
   /// Clamps a particle into the space.
   void Clamp(Region* region) const;
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -131,6 +132,46 @@ TEST(GbrtEngineTest, ScalarPredictMatchesBlockedBatch) {
     for (size_t r = 0; r < tx.num_rows(); ++r) {
       EXPECT_DOUBLE_EQ(batch[r], model.Predict(tx.Row(r)))
           << "row " << r << " depth " << depth;
+    }
+  }
+}
+
+TEST(GbrtEngineTest, AnyRowSubsetOrOrderMatchesTheFullBatch) {
+  // A swarm scores a different subset of rows each iteration; each row's
+  // prediction must not depend on which rows share its batch, where it
+  // sits in it, or whether it lands in an 8-row group or the tail.
+  FeatureMatrix x;
+  std::vector<double> y;
+  MakeProblem(1500, 4, 61, &x, &y);
+  GbrtParams params;
+  params.n_estimators = 30;
+  params.max_depth = 7;
+  GradientBoostedTrees model(params);
+  ASSERT_TRUE(model.Fit(x, y).ok());
+
+  FeatureMatrix probe;
+  std::vector<double> unused;
+  MakeProblem(37, 4, 62, &probe, &unused);
+  const std::vector<double> full = model.PredictBatch(probe);
+
+  Rng rng(63);
+  std::vector<std::vector<double>> cols(4);
+  std::vector<const double*> ptrs(4);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Random size (all tail lengths), random rows, repeats allowed.
+    const size_t n = 1 + rng.UniformInt(2 * probe.num_rows());
+    std::vector<size_t> rows(n);
+    for (size_t& r : rows) r = rng.UniformInt(probe.num_rows());
+    for (size_t j = 0; j < 4; ++j) {
+      cols[j].resize(n);
+      for (size_t q = 0; q < n; ++q) cols[j][q] = probe.Get(rows[q], j);
+      ptrs[j] = cols[j].data();
+    }
+    std::vector<double> out(n);
+    model.PredictColumns(ptrs.data(), 4, n, out.data());
+    for (size_t q = 0; q < n; ++q) {
+      ASSERT_EQ(out[q], full[rows[q]])
+          << "trial " << trial << " slot " << q << " of " << n;
     }
   }
 }
@@ -412,7 +453,7 @@ TEST(SurrogateBatchTest, EvaluateManyMatchesPredict) {
   const std::vector<double> batch = surrogate->EvaluateMany(probes);
   ASSERT_EQ(batch.size(), probes.size());
   const auto batch_fn = surrogate->AsBatchStatisticFn();
-  const std::vector<double> batch2 = batch_fn(probes);
+  const std::vector<double> batch2 = EvaluateStatistics(probes, {}, batch_fn);
   for (size_t i = 0; i < probes.size(); ++i) {
     EXPECT_DOUBLE_EQ(batch[i], surrogate->Predict(probes[i]));
     EXPECT_DOUBLE_EQ(batch2[i], batch[i]);
@@ -424,11 +465,12 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
     return 10.0 * region.half_length(0) + region.center(1);
   };
   const BatchStatisticFn batch_statistic =
-      [&statistic](const std::vector<Region>& regions) {
-        std::vector<double> out;
-        out.reserve(regions.size());
-        for (const auto& region : regions) out.push_back(statistic(region));
-        return out;
+      [&statistic](const RegionColumns& regions, double* out) {
+        Region region;
+        for (size_t r = 0; r < regions.rows; ++r) {
+          regions.CopyRow(r, &region);
+          out[r] = statistic(region);
+        }
       };
   ObjectiveConfig config;
   config.threshold = 0.5;
@@ -441,8 +483,7 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
   std::vector<Region> regions;
   for (int i = 0; i < 200; ++i) regions.push_back(space.Sample(&rng));
 
-  std::vector<double> stats;
-  const auto scalar_evals = scalar.EvaluateMany(regions, &stats);
+  const auto scalar_evals = scalar.EvaluateMany(regions);
   const auto batch_evals = batched.EvaluateMany(regions);
   for (size_t i = 0; i < regions.size(); ++i) {
     const FitnessValue direct = scalar.Evaluate(regions[i]);
@@ -450,7 +491,7 @@ TEST(ObjectiveBatchTest, EvaluateManyMatchesEvaluate) {
     EXPECT_DOUBLE_EQ(scalar_evals[i].value, direct.value);
     EXPECT_EQ(batch_evals[i].valid, direct.valid);
     EXPECT_DOUBLE_EQ(batch_evals[i].value, direct.value);
-    EXPECT_DOUBLE_EQ(stats[i], statistic(regions[i]));
+    EXPECT_DOUBLE_EQ(scalar_evals[i].statistic, statistic(regions[i]));
   }
 }
 
@@ -482,6 +523,64 @@ TEST(GsoBatchTest, BatchAndScalarPathsProduceIdenticalSwarms) {
       EXPECT_DOUBLE_EQ(scalar.particles[i].center(j),
                        batch.particles[i].center(j));
     }
+  }
+}
+
+TEST(GsoPinnedTest, SurrogateBatchedSwarm) {
+  // Recorded from the per-iteration re-scoring swarm (every particle
+  // predicted every iteration through a FeatureMatrix batch). The flat
+  // swarm scores only moved particles, straight off its columns, and
+  // must land on the same bits.
+  const RegionWorkload workload = MakeWorkload(2000, 48);
+  SurrogateTrainOptions options;
+  options.gbrt.n_estimators = 40;
+  auto surrogate = Surrogate::Train(workload, options);
+  ASSERT_TRUE(surrogate.ok());
+  ObjectiveConfig config;
+  config.threshold = 1.2;
+  const RegionObjective objective(surrogate->AsStatisticFn(),
+                                  surrogate->AsBatchStatisticFn(), config);
+  GsoParams params;
+  params.num_glowworms = 100;
+  params.max_iterations = 30;
+  params.seed = 15;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      objective.AsBatchFitnessFn(), workload.space);
+  EXPECT_EQ(r.objective_evaluations, 3100u);
+
+  uint64_t h = 1469598103934665603ull;
+  auto add = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  auto add_double = [&add](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    add(u);
+  };
+  add(r.iterations_run);
+  add(r.converged);
+  add(r.cancelled);
+  add(r.objective_evaluations);
+  for (size_t i = 0; i < r.particles.size(); ++i) {
+    for (double v : r.particles[i].center()) add_double(v);
+    for (double v : r.particles[i].half_lengths()) add_double(v);
+    add_double(r.fitness[i]);
+    add(r.valid[i]);
+    add_double(r.luciferin[i]);
+  }
+  for (double v : r.history.mean_fitness) add_double(v);
+  for (double v : r.history.mean_movement) add_double(v);
+  for (double v : r.history.valid_fraction) add_double(v);
+  EXPECT_EQ(h, 0xcf53db3fa8d43a56ull);
+
+  // The statistic carried with each final fitness is the model's
+  // prediction for that particle, bit for bit.
+  const std::vector<double> again = surrogate->EvaluateMany(r.particles);
+  for (size_t i = 0; i < r.particles.size(); ++i) {
+    EXPECT_EQ(r.statistic[i], again[i]) << "particle " << i;
   }
 }
 

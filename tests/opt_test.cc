@@ -4,15 +4,42 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 #include <set>
 
+#include "ml/kde.h"
 #include "opt/gso.h"
 #include "opt/naive_search.h"
 #include "opt/objective.h"
 #include "opt/pso.h"
 #include "opt/solution_space.h"
 #include "opt/test_functions.h"
+
+// Global allocation counter backing the GSO allocation test. Counting
+// relaxed-atomically keeps the override harmless for the rest of the
+// binary.
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+// The replacement pair allocates with malloc and releases with free; GCC
+// cannot see that the two replacements match and warns at inlined call
+// sites.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace surf {
 namespace {
@@ -322,6 +349,296 @@ TEST(GsoTest, ConvergenceFlagFires) {
   const GsoResult result = gso.Optimize(bumps.AsFitnessFn(), UnitSpace(1));
   EXPECT_TRUE(result.converged);
   EXPECT_LT(result.iterations_run, 400u);
+}
+
+// ------------------------------------------------ pinned GSO trajectories
+
+// FNV-1a over the bit patterns of everything a final swarm reports.
+struct Fnv {
+  uint64_t h = 1469598103934665603ull;
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void Add(double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    Add(u);
+  }
+};
+
+uint64_t SwarmDigest(const GsoResult& r) {
+  Fnv f;
+  f.Add(static_cast<uint64_t>(r.iterations_run));
+  f.Add(static_cast<uint64_t>(r.converged));
+  f.Add(static_cast<uint64_t>(r.cancelled));
+  f.Add(r.objective_evaluations);
+  for (size_t i = 0; i < r.particles.size(); ++i) {
+    for (double v : r.particles[i].center()) f.Add(v);
+    for (double v : r.particles[i].half_lengths()) f.Add(v);
+    f.Add(r.fitness[i]);
+    f.Add(static_cast<uint64_t>(r.valid[i]));
+    f.Add(r.luciferin[i]);
+  }
+  for (double v : r.history.mean_fitness) f.Add(v);
+  for (double v : r.history.mean_movement) f.Add(v);
+  for (double v : r.history.valid_fraction) f.Add(v);
+  return f.h;
+}
+
+// Exact "count" of two Gaussian blobs inside a 2-d box (erf products).
+double BlobMass(const Region& region) {
+  const double mu[2][2] = {{0.3, 0.6}, {0.75, 0.25}};
+  const double w[2] = {600.0, 400.0};
+  const double s = 0.08 * std::sqrt(2.0);
+  double y = 0.0;
+  for (int b = 0; b < 2; ++b) {
+    double m = w[b];
+    for (size_t k = 0; k < 2; ++k) {
+      const double lo = region.center(k) - region.half_length(k);
+      const double hi = region.center(k) + region.half_length(k);
+      m *= 0.5 *
+           (std::erf((hi - mu[b][k]) / s) - std::erf((lo - mu[b][k]) / s));
+    }
+    y += m;
+  }
+  return y;
+}
+
+Kde BlobKde() {
+  Rng rng(77);
+  std::vector<std::vector<double>> pts;
+  for (int i = 0; i < 400; ++i) {
+    const bool first = i % 5 < 3;
+    pts.push_back({rng.Gaussian(first ? 0.3 : 0.75, 0.08),
+                   rng.Gaussian(first ? 0.6 : 0.25, 0.08)});
+  }
+  return Kde::Fit(pts);
+}
+
+RegionSolutionSpace BlobSpace() {
+  return RegionSolutionSpace::ForBounds(Bounds::Unit(2), 0.01, 0.4);
+}
+
+RegionObjective BlobObjective(double threshold, bool use_log) {
+  ObjectiveConfig config;
+  config.threshold = threshold;
+  config.use_log = use_log;
+  return RegionObjective(BlobMass, config);
+}
+
+// The digests below were recorded from the per-iteration re-scoring
+// swarm (every particle scored every iteration, one Region per
+// particle). The flat moved-only swarm must reproduce them bit for bit.
+
+TEST(GsoPinnedTest, KdeSeededWithEq8Guidance) {
+  const Kde kde = BlobKde();
+  const RegionObjective objective = BlobObjective(150.0, true);
+  GsoParams params;
+  params.num_glowworms = 60;
+  params.max_iterations = 40;
+  params.seed = 11;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      objective.AsBatchFitnessFn(), BlobSpace(), &kde);
+  EXPECT_EQ(r.iterations_run, 40u);
+  EXPECT_EQ(r.objective_evaluations, 2460u);
+  EXPECT_EQ(SwarmDigest(r), 0x20d8bb2c0e39f063ull);
+}
+
+TEST(GsoPinnedTest, ExplorationRestart) {
+  const RegionObjective objective = BlobObjective(400.0, true);
+  GsoParams params;
+  params.num_glowworms = 50;
+  params.max_iterations = 40;
+  params.seed = 12;
+  params.exploration_restart_prob = 0.3;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      objective.AsBatchFitnessFn(), BlobSpace());
+  EXPECT_EQ(r.objective_evaluations, 2050u);
+  EXPECT_EQ(SwarmDigest(r), 0x149592135d715cf4ull);
+}
+
+TEST(GsoPinnedTest, RatioObjective) {
+  const RegionObjective objective = BlobObjective(100.0, false);
+  GsoParams params;
+  params.num_glowworms = 50;
+  params.max_iterations = 30;
+  params.seed = 13;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      objective.AsBatchFitnessFn(), BlobSpace());
+  EXPECT_EQ(r.objective_evaluations, 1550u);
+  EXPECT_EQ(SwarmDigest(r), 0x9665f80f925bdc94ull);
+}
+
+TEST(GsoPinnedTest, ConvergenceStop) {
+  GaussianBumps bumps;
+  bumps.peaks = {{0.5, 0.25}};
+  bumps.sigma = 0.5;
+  bumps.validity_floor = -1.0;
+  GsoParams params;
+  params.num_glowworms = 40;
+  params.max_iterations = 400;
+  params.convergence_tol_frac = 1e-3;
+  params.convergence_window = 5;
+  params.seed = 10;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      bumps.AsFitnessFn(), UnitSpace(1));
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations_run, 64u);
+  EXPECT_EQ(SwarmDigest(r), 0xf9837aaa5fc1f4d4ull);
+}
+
+TEST(GsoPinnedTest, CancelledMidRun) {
+  const Kde kde = BlobKde();
+  const RegionObjective objective = BlobObjective(150.0, true);
+  const BatchFitnessFn inner = objective.AsBatchFitnessFn();
+  CancelSource source;
+  int calls = 0;
+  // Fires during the 8th iteration's scoring: that iteration completes,
+  // the next poll stops the swarm.
+  const BatchFitnessFn fitness = [&](const RegionColumns& regions,
+                                     FitnessValue* out) {
+    if (++calls == 8) source.Cancel();
+    inner(regions, out);
+  };
+  GsoParams params;
+  params.num_glowworms = 50;
+  params.max_iterations = 40;
+  params.seed = 14;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      fitness, BlobSpace(), &kde, source.token());
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(r.iterations_run, 8u);
+  EXPECT_EQ(r.objective_evaluations, 450u);
+  EXPECT_EQ(SwarmDigest(r), 0x73420e615714bc5aull);
+}
+
+// ------------------------------------------------ moved-only scoring
+
+// A batched BlobMass that counts the rows it is handed.
+struct CountingBlobStatistic {
+  size_t* rows;
+  void operator()(const RegionColumns& regions, double* out) const {
+    Region region;
+    for (size_t r = 0; r < regions.rows; ++r) {
+      regions.CopyRow(r, &region);
+      out[r] = BlobMass(region);
+    }
+    *rows += regions.rows;
+  }
+};
+
+TEST(GsoMovedOnlyTest, ScoresFewerRowsThanTheCostModelCounts) {
+  size_t rows = 0;
+  ObjectiveConfig config;
+  config.threshold = 150.0;
+  const RegionObjective objective(BlobMass, CountingBlobStatistic{&rows},
+                                  config);
+  GsoParams params;
+  params.num_glowworms = 60;
+  params.max_iterations = 40;
+  params.convergence_tol_frac = 0.0;
+  params.seed = 21;
+  const GsoResult r = GlowwormSwarmOptimizer(params).Optimize(
+      objective.AsBatchFitnessFn(), BlobSpace());
+  EXPECT_EQ(r.objective_evaluations, 60u * 40u + 60u);
+  EXPECT_LT(rows, 60u * 40u);
+  EXPECT_GE(rows, 60u);  // the first iteration scores everyone
+  // Every reported fitness and statistic is the one of the final
+  // position, even for particles that were last scored long ago.
+  for (size_t i = 0; i < r.particles.size(); ++i) {
+    const FitnessValue direct = objective.Evaluate(r.particles[i]);
+    EXPECT_EQ(r.valid[i], direct.valid);
+    EXPECT_EQ(r.fitness[i], direct.value);
+    EXPECT_EQ(r.statistic[i], BlobMass(r.particles[i]));
+  }
+}
+
+// Heap allocations of one Optimize call with an allocation-free fitness.
+uint64_t OptimizeAllocations(size_t iterations, const Kde* kde) {
+  // Scores straight off the columns (no Region per row).
+  const BatchFitnessFn fitness = [](const RegionColumns& regions,
+                                    FitnessValue* out) {
+    for (size_t r = 0; r < regions.rows; ++r) {
+      const double dx = regions.center(r, 0) - 0.4;
+      const double dy = regions.center(r, 1) - 0.6;
+      out[r].value = -(dx * dx + dy * dy) - regions.half_length(r, 0);
+      out[r].valid = dx < 0.3;
+    }
+  };
+  GsoParams params;
+  params.num_glowworms = 50;
+  params.max_iterations = iterations;
+  params.convergence_tol_frac = 0.0;
+  params.exploration_restart_prob = 0.2;
+  params.seed = 31;
+  const GlowwormSwarmOptimizer gso(params);
+  const RegionSolutionSpace space = BlobSpace();
+  const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const GsoResult r = gso.Optimize(fitness, space, kde);
+  const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(r.iterations_run, iterations);
+  return after - before;
+}
+
+TEST(GsoAllocationTest, IterationsAllocateNothing) {
+  EXPECT_EQ(OptimizeAllocations(5, nullptr), OptimizeAllocations(50, nullptr));
+  const Kde kde = BlobKde();
+  EXPECT_EQ(OptimizeAllocations(5, &kde), OptimizeAllocations(50, &kde));
+}
+
+TEST(GsoNeighbourTest, RadiusBoundaryIsInclusiveAndExact) {
+  // Two particles; the dimmer one moves in iteration 0 exactly when the
+  // brighter one lies within r0 = initial_radius_frac · diagonal, i.e.
+  // when FlatDistance(...) <= r0 — also at the last representable r0,
+  // and also where r0·r0 rounds below the squared distance (a naive
+  // squared compare would drop that neighbour).
+  const BatchFitnessFn fitness = [](const RegionColumns& regions,
+                                    FitnessValue* out) {
+    for (size_t r = 0; r < regions.rows; ++r) {
+      out[r].value = regions.center(r, 0);
+      out[r].valid = true;
+    }
+  };
+  const RegionSolutionSpace space = UnitSpace(1);
+  const double diagonal = space.FlatDiagonal();
+  GsoParams params;
+  params.num_glowworms = 2;
+  params.convergence_tol_frac = 0.0;
+  auto moves = [&](double frac) {
+    params.max_iterations = 1;
+    params.initial_radius_frac = frac;
+    const GsoResult r =
+        GlowwormSwarmOptimizer(params).Optimize(fitness, space);
+    return r.history.mean_movement.at(0) > 0.0;
+  };
+  bool probed = false;
+  for (uint64_t seed = 1; seed < 200 && !probed; ++seed) {
+    params.seed = seed;
+    params.max_iterations = 0;
+    const GsoResult start =
+        GlowwormSwarmOptimizer(params).Optimize(fitness, space);
+    const Region& a = start.particles[0];
+    const Region& b = start.particles[1];
+    const double dc = a.center(0) - b.center(0);
+    const double dl = a.half_length(0) - b.half_length(0);
+    const double squared = dc * dc + dl * dl;
+    const double dist = a.FlatDistance(b);
+    if (!(dist * dist < squared)) continue;
+    double frac = dist / diagonal;
+    for (int k = 0; k < 16 && frac * diagonal != dist; ++k) {
+      frac = std::nextafter(frac, frac * diagonal < dist ? 1.0 : 0.0);
+    }
+    if (frac * diagonal != dist) continue;
+    probed = true;
+    EXPECT_TRUE(moves(frac)) << "seed " << seed;
+    double below = frac;
+    while (below * diagonal >= dist) below = std::nextafter(below, 0.0);
+    EXPECT_FALSE(moves(below)) << "seed " << seed;
+  }
+  EXPECT_TRUE(probed);
 }
 
 // ---------------------------------------------------------------- PSO

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -436,6 +437,45 @@ TEST(TraceIdentityTest, StageSpansPartitionPipelineTime) {
   EXPECT_TRUE(saw_labelling);
   EXPECT_TRUE(saw_gso_batch);
   EXPECT_EQ(ctx.dropped(), 0u);
+}
+
+TEST(TraceIdentityTest, GsoIterationSpansCarryThePhaseSplit) {
+  const SyntheticDataset ds = SmallDensityData();
+  TraceContext ctx;
+  PipelineOutcome out;
+  {
+    TraceSpan root(&ctx, "request");
+    out = RunPipeline(ds, &ctx);
+  }
+  // Each block of iterations reports its predict / neighbour / move
+  // seconds and the rows it actually scored: only moved particles are
+  // re-scored, so fewer than the cost model's T·L.
+  uint64_t rows_scored = 0;
+  size_t blocks = 0;
+  for (const auto& span : ctx.Snapshot()) {
+    if (std::string(span.name) != "gso_iterations") continue;
+    ++blocks;
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : span.attrs) {
+      keys.push_back(key);
+      if (key == "rows_scored") rows_scored += std::stoull(value);
+      if (key.size() > 2 && key.substr(key.size() - 2) == "_s") {
+        EXPECT_GE(std::stod(value), 0.0) << key;
+      }
+    }
+    for (const char* want :
+         {"iterations", "predict_s", "neighbours_s", "move_s",
+          "rows_scored"}) {
+      EXPECT_NE(std::find(keys.begin(), keys.end(), want), keys.end())
+          << want;
+    }
+  }
+  EXPECT_GT(blocks, 0u);
+  const uint64_t model_rows =
+      static_cast<uint64_t>(out.found.report.iterations) * 60u;
+  EXPECT_GE(rows_scored, 60u);
+  EXPECT_LT(rows_scored, model_rows);
+  EXPECT_EQ(out.found.report.objective_evaluations, model_rows + 60u);
 }
 
 }  // namespace
